@@ -64,8 +64,6 @@ type result = {
   objective : float;
   solution : float array;
   nodes : int;
-  root_objective : float;
-  root_time : float; (* seconds to solve the root relaxation *)
   total_time : float;
   simplex_iterations : int;
   best_bound : float; (* proven lower bound on the optimum at exit *)
@@ -310,10 +308,9 @@ let m_incumbents = Support.Metrics.counter "lp.bb.incumbents"
 let m_heur = Support.Metrics.counter "lp.bb.heuristic_incumbents"
 
 let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
-    ~heur_period ~warm (p : Problem.t) =
+    ~heur_period ~warm ~root:solver ~root_status (p : Problem.t) =
   let t0 = Clock.now () in
   let n = Problem.num_vars p in
-  let solver = Revised.create p in
   let orig_lo = Array.init n (Problem.var_lo p) in
   let orig_hi = Array.init n (Problem.var_hi p) in
   let pc = pc_create n in
@@ -340,8 +337,6 @@ let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
   let incumbent_obj = ref infinity in
   let heur_found = ref 0 in
   let limit_hit = ref false in
-  let root_objective = ref nan in
-  let root_time = ref 0. in
   (* The gap is taken relative to max(1, |incumbent|): the regalloc
      objectives carry 1e-7-scale symmetry-breaking perturbations, so a
      near-zero objective would otherwise keep the search alive chasing
@@ -389,12 +384,7 @@ let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
                 ("incumbent", !incumbent_obj);
               ];
           let lp_result =
-            (* the root relaxation is a pipeline stage of its own in the
-               paper's Figure 7; give it a dedicated span *)
-            if nd.depth = 0 then
-              Support.Trace.with_span "root-lp" (fun () ->
-                  Revised.solve solver)
-            else Revised.solve solver
+            if nd.depth = 0 then root_status else Revised.solve solver
           in
           match lp_result with
           | Revised.Iteration_limit ->
@@ -404,10 +394,6 @@ let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
           | Revised.Infeasible -> ()
           | Revised.Optimal ->
               let obj = Revised.objective solver in
-              if nd.depth = 0 then begin
-                root_objective := obj;
-                root_time := Clock.since t0
-              end;
               pc_learn pc nd obj;
               if obj < cutoff () then begin
                 let x = Revised.primal solver in
@@ -519,8 +505,6 @@ let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
         objective = !incumbent_obj;
         solution = x;
         nodes = !nodes;
-        root_objective = !root_objective;
-        root_time = !root_time;
         total_time;
         simplex_iterations;
         best_bound;
@@ -535,8 +519,6 @@ let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
         objective = infinity;
         solution = Array.make n 0.;
         nodes = !nodes;
-        root_objective = !root_objective;
-        root_time = !root_time;
         total_time;
         simplex_iterations;
         best_bound = (if !limit_hit then !lb_at_exit else infinity);
@@ -573,7 +555,8 @@ type wout = {
 }
 
 let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
-    ~use_heuristic ~heur_period ~warm (p : Problem.t) =
+    ~use_heuristic ~heur_period ~warm ~root:root_solver ~root_status
+    (p : Problem.t) =
   let t0 = Clock.now () in
   let n = Problem.num_vars p in
   let orig_lo = Array.init n (Problem.var_lo p) in
@@ -599,7 +582,7 @@ let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
   in
   let root_pc = pc_create n in
   pc_import root_pc n warm;
-  let finish status ~nodes ~iters ~root_objective ~root_time ~best_bound =
+  let finish status ~nodes ~iters ~best_bound =
     let objective = match !incumbent with Some _ -> !incumbent_obj | None -> infinity in
     {
       status;
@@ -607,8 +590,6 @@ let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
       solution =
         (match !incumbent with Some x -> x | None -> Array.make n 0.);
       nodes;
-      root_objective;
-      root_time;
       total_time = Clock.since t0;
       simplex_iterations = iters;
       best_bound;
@@ -620,20 +601,17 @@ let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
         pc_export n (pc_merge n (Array.append [| root_pc |] worker_pcs));
     }
   in
-  (* ---- root relaxation on the coordinator ---- *)
-  let root_solver = Revised.create p in
+  (* ---- the solved root relaxation, on the coordinator ---- *)
   Support.Metrics.incr m_nodes;
-  match Support.Trace.with_span "root-lp" (fun () -> Revised.solve root_solver) with
+  match root_status with
   | Revised.Iteration_limit ->
       finish Limit ~nodes:1 ~iters:(Revised.iterations root_solver)
-        ~root_objective:nan ~root_time:(Clock.since t0)
         ~best_bound:neg_infinity
   | Revised.Infeasible ->
       finish Infeasible ~nodes:1 ~iters:(Revised.iterations root_solver)
-        ~root_objective:nan ~root_time:(Clock.since t0) ~best_bound:infinity
+        ~best_bound:infinity
   | Revised.Optimal ->
       let root_objective = Revised.objective root_solver in
-      let root_time = Clock.since t0 in
       let x = Revised.primal root_solver in
       let heap = Heap.create () in
       (match select_branch p root_pc n x with
@@ -698,8 +676,7 @@ let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
         (* root was integral (or both children empty): done *)
         finish
           (if !incumbent = None then Infeasible else Optimal)
-          ~nodes:1 ~iters:(Revised.iterations root_solver) ~root_objective
-          ~root_time
+          ~nodes:1 ~iters:(Revised.iterations root_solver)
           ~best_bound:
             (if !incumbent = None then infinity else !incumbent_obj)
       else begin
@@ -981,21 +958,25 @@ let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
               if !limit_hit then Float.min !lb_at_exit !incumbent_obj
               else !incumbent_obj
             in
-            finish status ~nodes:!total_nodes ~iters ~root_objective
-              ~root_time ~best_bound
+            finish status ~nodes:!total_nodes ~iters ~best_bound
         | None ->
             finish
               (if !limit_hit then Limit else Infeasible)
-              ~nodes:!total_nodes ~iters ~root_objective ~root_time
+              ~nodes:!total_nodes ~iters
               ~best_bound:(if !limit_hit then !lb_at_exit else infinity)
       end
 
+(* [root] is a [Revised] instance of [p] whose root relaxation has
+   already been solved, with [root_status] the status that solve
+   returned.  The search continues from its basis and factors and does
+   not solve the root again. *)
 let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
     ?(use_heuristic = true) ?(heur_period = 128) ?(domains = 1)
-    ?(deterministic = false) ?(warm = no_warm) (p : Problem.t) =
+    ?(deterministic = false) ?(warm = no_warm) ~root ~root_status
+    (p : Problem.t) =
   if domains <= 1 then
     solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
-      ~heur_period ~warm p
+      ~heur_period ~warm ~root ~root_status p
   else
     solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
-      ~use_heuristic ~heur_period ~warm p
+      ~use_heuristic ~heur_period ~warm ~root ~root_status p

@@ -80,22 +80,29 @@ let default_stats =
 
 let int_tol = 1e-6
 
+(* Solve the root relaxation of [p] in a fresh instance. *)
+let solve_root p =
+  let solver = Revised.create p in
+  (solver, Revised.solve solver)
+
 (* Separate and append root cuts until no violated cut is found, the
-   round budget runs out, or the root comes back integral.  Returns
-   (rounds run, cuts added).  Each round re-solves the root LP from
-   scratch; with the sparse basis this costs well under a second even on
-   the largest allocation models. *)
-let root_cut_pass ?(max_rounds = 3) ~deadline (p : Problem.t) =
+   round budget runs out, or the root comes back integral.  Each round
+   separates against the primal of the current root instance, which
+   starts as the already-solved [root]; only a round that appends cuts
+   builds and solves a new instance, since the rows changed.  Returns
+   (rounds run, cuts added, root instance, its status) -- the instance
+   branch and bound continues from. *)
+let root_cut_pass ?(max_rounds = 3) ~deadline (p : Problem.t) root =
   let n = Problem.num_vars p in
   let rounds = ref 0 in
   let added = ref 0 in
+  let root = ref root in
   let continue_ = ref true in
   while !continue_ && !rounds < max_rounds && Clock.now () < deadline do
     incr rounds;
-    let solver = Revised.create p in
-    match Revised.solve solver with
-    | Revised.Infeasible | Revised.Iteration_limit -> continue_ := false
-    | Revised.Optimal ->
+    match !root with
+    | _, (Revised.Infeasible | Revised.Iteration_limit) -> continue_ := false
+    | solver, Revised.Optimal ->
         let x = Revised.primal solver in
         let fractional = ref false in
         for j = 0 to n - 1 do
@@ -108,10 +115,14 @@ let root_cut_pass ?(max_rounds = 3) ~deadline (p : Problem.t) =
         else begin
           let cuts = Cuts.generate p x in
           if cuts = [] then continue_ := false
-          else added := !added + Cuts.apply p cuts
+          else begin
+            added := !added + Cuts.apply p cuts;
+            root := solve_root p
+          end
         end
   done;
-  (!rounds, !added)
+  let solver, status = !root in
+  (!rounds, !added, solver, status)
 
 let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
     ?(node_limit = 500_000) ?(rel_gap = 1e-4) ?(domains = 1)
@@ -156,11 +167,21 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
      Identity when presolve is off. *)
   let branch_and_bound sub ~after_stats ~postsolve_fn ~map_orig_to_sub
       ~sub_to_orig =
-    let cut_rounds, cuts_added =
+    (* The root relaxation is solved once, here: the cut pass separates
+       against it and branch and bound continues from it. *)
+    let t_root = Clock.now () in
+    let root =
+      Support.Trace.with_span "root-lp" (fun () -> solve_root sub)
+    in
+    let root_time = Clock.since t_root in
+    let cut_rounds, cuts_added, root, root_status =
       if cuts then
         Support.Trace.with_span "root-cuts" (fun () ->
-            root_cut_pass ~deadline:(t0 +. (0.25 *. time_limit)) sub)
-      else (0, 0)
+            root_cut_pass ~deadline:(t0 +. (0.25 *. time_limit)) sub root)
+      else (0, 0, fst root, snd root)
+    in
+    let root_obj =
+      if root_status = Revised.Optimal then Revised.objective root else nan
     in
     Support.Metrics.add (Support.Metrics.counter "lp.cuts.added") cuts_added;
     let remaining = Float.max 1. (time_limit -. Clock.since t0) in
@@ -181,7 +202,7 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
     let r =
       Support.Trace.with_span "branch-and-bound" (fun () ->
           Branch_bound.solve ~time_limit:remaining ~node_limit ~rel_gap
-            ~domains ~deterministic ~warm:bb_warm sub)
+            ~domains ~deterministic ~warm:bb_warm ~root ~root_status sub)
     in
     let status =
       match r.Branch_bound.status with
@@ -226,8 +247,8 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
       if status = Optimal then Float.max r.Branch_bound.best_bound objective
       else r.Branch_bound.best_bound
     in
-    finish status objective solution ~root_time:r.Branch_bound.root_time
-      ~root_obj:r.Branch_bound.root_objective ~nodes:r.Branch_bound.nodes
+    finish status objective solution ~root_time ~root_obj
+      ~nodes:r.Branch_bound.nodes
       ~iters:r.Branch_bound.simplex_iterations ~cut_rounds ~cuts_added
       ~best_bound ~heur:r.Branch_bound.heuristic_incumbents ~after_stats
       ~warm_used:r.Branch_bound.warm_seeded
@@ -278,7 +299,7 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
 
 (* Solve the LP relaxation only (used for root-relaxation statistics). *)
 let solve_relaxation (p : Problem.t) =
-  let solver = Revised.create p in
-  match Revised.solve solver with
-  | Revised.Optimal -> Some (Revised.objective solver, Revised.primal solver)
-  | Revised.Infeasible | Revised.Iteration_limit -> None
+  match solve_root p with
+  | solver, Revised.Optimal ->
+      Some (Revised.objective solver, Revised.primal solver)
+  | _, (Revised.Infeasible | Revised.Iteration_limit) -> None

@@ -57,6 +57,11 @@ type t = {
   mutable bound_deltas : (int * float) list;
   rho : float array; (* workspace: BTRAN pivot row, length m *)
   wcol : float array; (* workspace: FTRAN entering column, length m *)
+  duals : float array; (* workspace: BTRAN of the basic costs, length m *)
+  alphas : float array;
+      (* workspace: pivot-row entries of the nonbasic columns, length
+         n+m; each solve iteration writes every nonbasic entry before
+         reading any *)
   pricing : pricing;
   dw : float array; (* devex reference weights, one per basis row *)
   mutable iters : int;
@@ -136,6 +141,8 @@ let create ?(pricing = Devex) (p : Problem.t) =
     bound_deltas = [];
     rho = Array.make m 0.;
     wcol = Array.make m 0.;
+    duals = Array.make m 0.;
+    alphas = Array.make nm 0.;
     pricing;
     dw = Array.make m 1.;
     iters = 0;
@@ -171,7 +178,7 @@ let recompute_xb t =
 
 (* Dual values and reduced costs for all variables, from one BTRAN. *)
 let refresh_dvals t =
-  let y = Array.make t.m 0. in
+  let y = t.duals in
   for i = 0 to t.m - 1 do
     y.(i) <- t.cost.(t.basis.(i))
   done;
@@ -255,7 +262,7 @@ let solve ?(max_iters = 200_000) t =
   t.bound_deltas <- [];
   t.iters <- 0;
   let nm = t.n + t.m in
-  let alphas = Array.make nm 0. in
+  let alphas = t.alphas in
   (try
      while true do
        if t.iters >= max_iters then raise (Done Iteration_limit);

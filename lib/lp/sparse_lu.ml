@@ -23,7 +23,12 @@
    Slack columns are unit vectors, and the structural columns of the
    allocation models are short, so the greedy singleton-first Markowitz
    order dissolves almost the whole basis with no fill-in; only a small
-   "bump" needs real elimination.
+   "bump" needs real elimination.  Little arithmetic is not little work,
+   though: with thousands of singleton columns waiting, a selection that
+   rescans its candidate bucket on every pivot is O(m^2) per
+   factorization, and on the AES model (m = 6146) that rescan was 77% of
+   all simplex time.  Selection therefore examines only the candidates it
+   needs (see the bucket deque below), amortized O(1) per pivot.
 
    Column replacements are absorbed as product-form etas: replacing
    column r by a_q multiplies B on the right by the eta matrix E_r that
@@ -61,6 +66,70 @@ let drop_tol = 1e-13
 let abs_pivot_tol = 1e-11
 let rel_pivot_tol = 0.1 (* threshold pivoting within the chosen column *)
 
+(* Bucket entries popped by pivot selection, summed per factorization. *)
+let m_candidates = Support.Metrics.counter "lp.lu.pivot_candidates"
+
+(* Pivot candidate buckets.
+
+   Selection keeps the active columns bucketed by entry count, and the
+   order in which a bucket yields its columns breaks ties, so that order
+   is part of the factorization's output.  It is the order of a list
+   that takes new entries at its front and, on every scan, drops the
+   entries whose column is no longer at that count (or is retired) and
+   reverses itself.  A column touched by elimination is pushed again
+   even when its count did not change, so a bucket can hold a column
+   twice, and both entries are candidates.
+
+   The deque below gives the same order while a scan touches only the
+   entries it examines.  A direction flag stands in for the reversal.
+   A column that leaves a count, or is retired, joins that bucket's
+   at-risk list; the next scan of the bucket kills the column's entries
+   there if it is still away or retired.  Those are exactly the entries
+   the list filter would drop -- a column that left and came back before
+   the scan keeps its entries, as under the filter.  Killed entries stay
+   in the deque until a scan pops them. *)
+type entry = { col : int; bkt : int; mutable dead : bool }
+
+let no_entry = { col = -1; bkt = -1; dead = true }
+
+type bucket = {
+  mutable buf : entry array; (* circular; capacity 0 or a power of two *)
+  mutable head : int;
+  mutable len : int;
+  mutable flipped : bool; (* the logical front is the physical back *)
+  mutable at_risk : int list; (* columns that left this count *)
+}
+
+(* Push at the logical front. *)
+let bucket_push b e =
+  let cap = Array.length b.buf in
+  if b.len = cap then begin
+    let buf = Array.make (max 4 (2 * cap)) no_entry in
+    for k = 0 to b.len - 1 do
+      buf.(k) <- b.buf.((b.head + k) land (cap - 1))
+    done;
+    b.buf <- buf;
+    b.head <- 0
+  end;
+  let mask = Array.length b.buf - 1 in
+  if b.flipped then b.buf.((b.head + b.len) land mask) <- e
+  else begin
+    b.head <- (b.head - 1) land mask;
+    b.buf.(b.head) <- e
+  end;
+  b.len <- b.len + 1
+
+(* Pop from the logical front; [b] must be non-empty. *)
+let bucket_pop b =
+  let mask = Array.length b.buf - 1 in
+  b.len <- b.len - 1;
+  if b.flipped then b.buf.((b.head + b.len) land mask)
+  else begin
+    let e = b.buf.(b.head) in
+    b.head <- (b.head + 1) land mask;
+    e
+  end
+
 (* [factorize m column] factors the m x m matrix whose [j]-th column is
    the sparse vector [column j] (a (row, value) array).  Raises
    [Singular] when no acceptable pivot remains. *)
@@ -87,12 +156,35 @@ let factorize m column =
   let colcnt = Array.map Hashtbl.length acols in
   let rowcnt = Array.map Hashtbl.length rowcols in
   let col_active = Array.make m true in
-  (* Columns bucketed by current entry count; stale entries (count since
-     changed) are discarded lazily when a bucket is scanned. *)
-  let buckets = Array.make (m + 1) [] in
+  let buckets =
+    Array.init (m + 1) (fun _ ->
+        { buf = [||]; head = 0; len = 0; flipped = false; at_risk = [] })
+  in
+  (* per column, its entries not yet killed, in whichever buckets *)
+  let entries = Array.make m [] in
+  (* Count 0 is never scanned (and never left: an empty column takes no
+     fill-in), so it gets no bucket entries. *)
   let push_bucket j =
     let c = colcnt.(j) in
-    if c >= 0 && c <= m then buckets.(c) <- j :: buckets.(c)
+    if c >= 1 then begin
+      let e = { col = j; bkt = c; dead = false } in
+      entries.(j) <- e :: entries.(j);
+      bucket_push buckets.(c) e
+    end
+  in
+  let leave j c =
+    if c >= 1 then buckets.(c).at_risk <- j :: buckets.(c).at_risk
+  in
+  let kill j c =
+    entries.(j) <-
+      List.filter
+        (fun e ->
+          if e.bkt = c then begin
+            e.dead <- true;
+            false
+          end
+          else true)
+        entries.(j)
   in
   for j = 0 to m - 1 do
     push_bucket j
@@ -124,35 +216,44 @@ let factorize m column =
   in
   (* Markowitz pivot selection: scan buckets in increasing column count,
      stop at the first zero-cost candidate or after a handful of
-     candidates (partial pricing of pivots, GLPK-style). *)
+     candidates (partial pricing of pivots, GLPK-style).  [examined]
+     counts the bucket entries popped, dead or alive. *)
+  let examined = ref 0 in
   let select () =
     let best = ref None in
     let ncand = ref 0 in
     let stop = ref false in
     let cnt = ref 1 in
     while (not !stop) && !cnt <= m do
-      let lst = buckets.(!cnt) in
-      if lst <> [] then begin
-        buckets.(!cnt) <- [];
-        let keep = ref [] in
+      let c = !cnt in
+      let b = buckets.(c) in
+      if b.len > 0 then begin
         List.iter
-          (fun j ->
-            if col_active.(j) && colcnt.(j) = !cnt then begin
-              keep := j :: !keep;
-              if not !stop then
-                match best_in_col j with
-                | None -> ()
-                | Some (i, v, rc) ->
-                    let cost = (!cnt - 1) * (rc - 1) in
-                    (match !best with
-                    | Some (c0, _, _, _) when c0 <= cost -> ()
-                    | _ -> best := Some (cost, j, i, v));
-                    incr ncand;
-                    if cost = 0 || !ncand >= 4 then stop := true
-            end)
-          lst;
-        buckets.(!cnt) <- !keep
-      end;
+          (fun j -> if (not col_active.(j)) || colcnt.(j) <> c then kill j c)
+          b.at_risk;
+        b.at_risk <- [];
+        let visited = ref [] in
+        while (not !stop) && b.len > 0 do
+          let e = bucket_pop b in
+          incr examined;
+          if not e.dead then begin
+            visited := e :: !visited;
+            match best_in_col e.col with
+            | None -> ()
+            | Some (i, v, rc) ->
+                let cost = (c - 1) * (rc - 1) in
+                (match !best with
+                | Some (c0, _, _, _) when c0 <= cost -> ()
+                | _ -> best := Some (cost, e.col, i, v));
+                incr ncand;
+                if cost = 0 || !ncand >= 4 then stop := true
+          end
+        done;
+        (* put the examined prefix back where it was, then reverse *)
+        List.iter (bucket_push b) !visited;
+        b.flipped <- not b.flipped
+      end
+      else b.at_risk <- [];
       if !best <> None then stop := true;
       incr cnt
     done;
@@ -165,7 +266,9 @@ let factorize m column =
   let umat_cols = Array.make m [] in
   for k = 0 to m - 1 do
     match select () with
-    | None -> raise Singular
+    | None ->
+        Support.Metrics.add m_candidates !examined;
+        raise Singular
     | Some (_cost, j, i, piv) ->
         pr.(k) <- i;
         pc.(k) <- j;
@@ -197,10 +300,12 @@ let factorize m column =
             end)
           tbl_j;
         col_active.(j) <- false;
+        leave j colcnt.(j);
         (* eliminate the pivot row from every other active column *)
         List.iter
           (fun (j', u) ->
             let tbl = acols.(j') in
+            let c0 = colcnt.(j') in
             Hashtbl.remove tbl i;
             colcnt.(j') <- colcnt.(j') - 1;
             List.iter
@@ -224,11 +329,13 @@ let factorize m column =
                       rowcnt.(r) <- rowcnt.(r) + 1
                     end)
               mults;
+            if colcnt.(j') <> c0 then leave j' c0;
             push_bucket j')
           urow;
         Hashtbl.reset rowcols.(i);
         Hashtbl.reset tbl_j
   done;
+  Support.Metrics.add m_candidates !examined;
   (* Remap U entries from column ids to elimination steps, so back
      substitution indexes the step-space solution vector directly. *)
   let pos_of_col = Array.make m (-1) in

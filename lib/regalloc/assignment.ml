@@ -16,23 +16,60 @@ type t = {
   xfer_color : Ident.t -> Bank.t -> int;
 }
 
+(* The ILP solution read out into tables, so the assignment (and each
+   compiled program holding it) does not keep the solver's instance,
+   problem and MIP result alive.  Banks are read for every (point, temp)
+   the model places, moves for every point, colors for every temp and
+   transfer bank it may use; a lookup outside those fails as reading
+   the solution would. *)
 let of_ilp (s : Ilp.solution) : t =
   let mg = s.Ilp.ilp.Ilp.mg in
-  let get_bank f p v =
-    match f s p v with
-    | Some b -> b
-    | None ->
-        Diag.ice "assignment: no bank for %a at point %a" Ident.pp v
-          Ixp.Flowgraph.pp_point (Modelgen.point_of mg p)
+  let tabulate read =
+    Array.mapi
+      (fun p set ->
+        Ident.Set.fold
+          (fun v banks ->
+            match read s p v with
+            | Some b -> Ident.Map.add v b banks
+            | None -> banks)
+          set Ident.Map.empty)
+      mg.Modelgen.exists_at
   in
+  let get_bank banks p v =
+    match Ident.Map.find_opt v banks.(p) with
+    | Some b -> b
+    | None -> (
+        match Modelgen.fixed_bank mg v with
+        | Some b -> b
+        | None ->
+            Diag.ice "assignment: no bank for %a at point %a" Ident.pp v
+              Ixp.Flowgraph.pp_point (Modelgen.point_of mg p))
+  in
+  let before = tabulate Ilp.bank_before and after = tabulate Ilp.bank_after in
+  let moves =
+    Array.init (Array.length mg.Modelgen.exists_at) (Ilp.moves_at s)
+  in
+  let colors = Ident.Tbl.create (Array.length mg.Modelgen.temps) in
+  Array.iter
+    (fun v ->
+      match
+        List.filter_map
+          (fun b -> Option.map (fun r -> (b, r)) (Ilp.color_of s v b))
+          (Modelgen.allowed_xfer mg v)
+      with
+      | [] -> ()
+      | bank_colors -> Ident.Tbl.replace colors v bank_colors)
+    mg.Modelgen.temps;
   {
     mg;
-    bank_before = get_bank Ilp.bank_before;
-    bank_after = get_bank Ilp.bank_after;
-    moves_at = (fun p -> Ilp.moves_at s p);
+    bank_before = get_bank before;
+    bank_after = get_bank after;
+    moves_at = (fun p -> moves.(p));
     xfer_color =
       (fun v b ->
-        match Ilp.color_of s v b with
+        match
+          Option.bind (Ident.Tbl.find_opt colors v) (List.assoc_opt b)
+        with
         | Some r -> r
         | None ->
             Diag.ice "assignment: no %s color for %a" (Bank.to_string b)

@@ -667,6 +667,54 @@ let incumbent_publication_is_monotone =
 (* Sparse LU kernel                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* FTRAN and BTRAN of [lu] must invert a multiply by the dense m x m
+   matrix it factors, on random right-hand sides drawn from [st]. *)
+let check_lu_inverts st tag dense lu =
+  let m = Array.length dense in
+  let mat_vec x =
+    Array.init m (fun i ->
+        let s = ref 0. in
+        for j = 0 to m - 1 do
+          s := !s +. (dense.(i).(j) *. x.(j))
+        done;
+        !s)
+  in
+  let mat_tvec y =
+    Array.init m (fun j ->
+        let s = ref 0. in
+        for i = 0 to m - 1 do
+          s := !s +. (dense.(i).(j) *. y.(i))
+        done;
+        !s)
+  in
+  let x_true = Array.init m (fun _ -> Random.State.float st 4. -. 2.) in
+  let b = mat_vec x_true in
+  Sparse_lu.ftran lu b;
+  Array.iteri
+    (fun i v ->
+      if Float.abs (v -. x_true.(i)) > 1e-6 then
+        Alcotest.failf "%s ftran drift %g at %d (m=%d)" tag
+          (Float.abs (v -. x_true.(i)))
+          i m)
+    b;
+  let y_true = Array.init m (fun _ -> Random.State.float st 4. -. 2.) in
+  let c = mat_tvec y_true in
+  Sparse_lu.btran lu c;
+  Array.iteri
+    (fun i v ->
+      if Float.abs (v -. y_true.(i)) > 1e-6 then
+        Alcotest.failf "%s btran drift %g at %d (m=%d)" tag
+          (Float.abs (v -. y_true.(i)))
+          i m)
+    c
+
+let sparse_columns dense j =
+  let entries = ref [] in
+  for i = Array.length dense - 1 downto 0 do
+    if dense.(i).(j) <> 0. then entries := (i, dense.(i).(j)) :: !entries
+  done;
+  Array.of_list !entries
+
 (* Random sparse well-conditioned matrices: a shuffled permutation
    diagonal (entries in [1,3]) plus a little off-diagonal noise.  FTRAN
    and BTRAN must invert a dense multiply, both on the base factors and
@@ -690,52 +738,8 @@ let test_sparse_lu_roundtrip () =
         dense.(r).(j) <- dense.(r).(j) +. Random.State.float st 1. -. 0.5
       end
     done;
-    let col_of j =
-      let entries = ref [] in
-      for i = m - 1 downto 0 do
-        if dense.(i).(j) <> 0. then entries := (i, dense.(i).(j)) :: !entries
-      done;
-      Array.of_list !entries
-    in
-    let lu = Sparse_lu.factorize m col_of in
-    let mat_vec x =
-      Array.init m (fun i ->
-          let s = ref 0. in
-          for j = 0 to m - 1 do
-            s := !s +. (dense.(i).(j) *. x.(j))
-          done;
-          !s)
-    in
-    let mat_tvec y =
-      Array.init m (fun j ->
-          let s = ref 0. in
-          for i = 0 to m - 1 do
-            s := !s +. (dense.(i).(j) *. y.(i))
-          done;
-          !s)
-    in
-    let check_roundtrip tag =
-      let x_true = Array.init m (fun _ -> Random.State.float st 4. -. 2.) in
-      let b = mat_vec x_true in
-      Sparse_lu.ftran lu b;
-      Array.iteri
-        (fun i v ->
-          if Float.abs (v -. x_true.(i)) > 1e-6 then
-            Alcotest.failf "%s ftran drift %g at %d (m=%d)" tag
-              (Float.abs (v -. x_true.(i)))
-              i m)
-        b;
-      let y_true = Array.init m (fun _ -> Random.State.float st 4. -. 2.) in
-      let c = mat_tvec y_true in
-      Sparse_lu.btran lu c;
-      Array.iteri
-        (fun i v ->
-          if Float.abs (v -. y_true.(i)) > 1e-6 then
-            Alcotest.failf "%s btran drift %g at %d (m=%d)" tag
-              (Float.abs (v -. y_true.(i)))
-              i m)
-        c
-    in
+    let lu = Sparse_lu.factorize m (sparse_columns dense) in
+    let check_roundtrip tag = check_lu_inverts st tag dense lu in
     check_roundtrip "base";
     (* a few eta updates: replace random columns with fresh ones *)
     for _u = 1 to 3 do
@@ -760,6 +764,82 @@ let test_sparse_lu_roundtrip () =
       | exception Sparse_lu.Singular -> ()
     done
   done
+
+(* Slack unit columns around a 6 x 6 block on rows r0..r5 that makes one
+   column's count leave and return before its bucket is scanned again.
+   Singleton S eliminates row r0 from X (count 4 -> 3).  With no
+   singletons left, the count-3 bucket yields X (its r1 entry fails the
+   threshold, so it costs 6) and Q (pivot on row r1, cost 2).  Q wins,
+   and its fill puts X back at count 4, where the next pivot is chosen:
+   X's old count-4 entry must survive, as it would under a full rescan
+   of the bucket, next to the one its return added. *)
+let test_sparse_lu_count_return () =
+  let m = 30 in
+  let r = [| 3; 8; 11; 17; 22; 27 |] in
+  let s_, x, a, b, c, q = (2, 5, 9, 14, 20, 25) in
+  let dense = Array.make_matrix m m 0. in
+  let set col entries =
+    List.iter (fun (k, v) -> dense.(r.(k)).(col) <- v) entries
+  in
+  set s_ [ (0, 1.0) ];
+  set x [ (0, 1.0); (1, 0.1); (2, 2.0); (3, 1.5) ];
+  set a [ (2, 1.0); (3, 0.2); (4, 2.0); (5, 0.3) ];
+  set b [ (2, 0.4); (3, 1.0); (4, 0.1); (5, 2.0) ];
+  set c [ (2, 0.3); (3, 2.0); (4, 0.5); (5, 0.2) ];
+  set q [ (1, 3.0); (4, 1.0); (5, 1.0) ];
+  let block_cols = [ s_; x; a; b; c; q ] in
+  let slack_rows =
+    List.filter (fun i -> not (Array.mem i r)) (List.init m Fun.id)
+  in
+  let slack_cols =
+    List.filter (fun j -> not (List.mem j block_cols)) (List.init m Fun.id)
+  in
+  List.iter2 (fun i j -> dense.(i).(j) <- 1.0) slack_rows slack_cols;
+  let lu = Sparse_lu.factorize m (sparse_columns dense) in
+  (* the pivot order, which the count-4 bucket's two X entries decide;
+     the slack prefix alternates ends as the count-1 bucket reverses *)
+  let order =
+    [ 29; 0; 28; 1; 27; 2; 26; 3; 24; 4; 23; 6; 22; 7; 21; 8; 19; 10; 18;
+      11; 17; 12; 16; 13; 15; 25; 5; 20; 14; 9 ]
+  in
+  check
+    Alcotest.(list int)
+    "pivot columns" order
+    (Array.to_list lu.Sparse_lu.pc);
+  let st = Random.State.make [| 7 |] in
+  for k = 1 to 3 do
+    check_lu_inverts st (Printf.sprintf "count-return %d" k) dense lu
+  done
+
+(* Selection examines a bounded number of bucket entries per pivot: on a
+   5000-column basis that is two thirds slack columns, at least one (the
+   pivot's) and fewer than 4 per column.  (A filter of the whole count-1
+   bucket on every pivot, which is what the selection did before,
+   examines about m^2/3.) *)
+let test_sparse_lu_candidates_linear () =
+  let m = 5000 in
+  let column j =
+    if j mod 3 = 0 then
+      [| (j, 1.5); ((j + 1) mod m, 0.5); ((j + 2) mod m, 0.25) |]
+    else [| (j, 1.0) |]
+  in
+  let candidates = Support.Metrics.counter "lp.lu.pivot_candidates" in
+  let before = Support.Metrics.counter_value candidates in
+  let lu = Sparse_lu.factorize m column in
+  let examined = Support.Metrics.counter_value candidates - before in
+  if examined < m || examined >= 4 * m then
+    Alcotest.failf "examined %d pivot candidates for m=%d" examined m;
+  (* and the factors are right: B x = b for x = 1 *)
+  let b = Array.make m 0. in
+  for j = 0 to m - 1 do
+    Array.iter (fun (i, v) -> b.(i) <- b.(i) +. v) (column j)
+  done;
+  Sparse_lu.ftran lu b;
+  Array.iteri
+    (fun i v ->
+      if Float.abs (v -. 1.) > 1e-9 then
+        Alcotest.failf "ftran drift %g at %d" (Float.abs (v -. 1.)) i)
+    b
 
 (* ------------------------------------------------------------------ *)
 (* Seeded float-vs-rational cross-check (larger LPs)                   *)
@@ -1025,6 +1105,10 @@ let suites =
           test_revised_equality_system;
         Alcotest.test_case "revised warm restart" `Quick test_revised_warm_restart;
         Alcotest.test_case "sparse LU roundtrip" `Quick test_sparse_lu_roundtrip;
+        Alcotest.test_case "sparse LU count leaves and returns" `Quick
+          test_sparse_lu_count_return;
+        Alcotest.test_case "sparse LU pivot candidates linear" `Quick
+          test_sparse_lu_candidates_linear;
         Alcotest.test_case "revised vs exact (seeded, large)" `Quick
           test_revised_vs_exact_seeded;
         Alcotest.test_case "warm-restart chains match cold solves" `Quick

@@ -197,6 +197,34 @@ let test_kasumi_compiled_end_to_end () =
         (Ixp.Memory.peek sdram Ixp.Insn.Sdram ((Workloads.Kasumi.pkt_base / 4) + i)))
     ct
 
+(* ---------------- solver search path and retention ---------------- *)
+
+(* Cold compile with default options from a fresh identifier supply, as
+   a compiler process runs it: the search path depends on the stamps. *)
+let cold_compile name source =
+  Support.Ident.reset ();
+  Regalloc.Driver.compile ~options:Regalloc.Driver.default_options
+    ~file:(name ^ ".nova") source
+
+(* The B&B node and simplex iteration counts of a cold compile are a
+   deterministic function of the pivot order; a change in LU pivot
+   selection or a second solve of the root shows up here. *)
+let check_search_path name source ~iterations () =
+  let c = cold_compile name source in
+  match c.Regalloc.Driver.stats.Regalloc.Driver.mip with
+  | None -> Alcotest.fail "no MIP statistics"
+  | Some m ->
+      checki "nodes" 1 m.Lp.Mip.nodes;
+      checki "simplex iterations" iterations m.Lp.Mip.simplex_iterations
+
+(* A compiled program keeps its assignment's tables, not the ILP
+   instance, problem and MIP result it was read from. *)
+let test_compiled_retention () =
+  let c = cold_compile "kasumi" Workloads.Kasumi.source in
+  let bytes = Obj.reachable_words (Obj.repr c) * (Sys.word_size / 8) in
+  if bytes >= 4_000_000 then
+    Alcotest.failf "compiled Kasumi retains %d bytes" bytes
+
 let suites =
   [
     ( "workloads.aes_ref",
@@ -226,5 +254,14 @@ let suites =
       [
         Alcotest.test_case "Kasumi ILP-compiled end-to-end" `Slow
           test_kasumi_compiled_end_to_end;
+      ] );
+    ( "workloads.solver",
+      [
+        Alcotest.test_case "Kasumi search path" `Quick
+          (check_search_path "kasumi" Workloads.Kasumi.source ~iterations:534);
+        Alcotest.test_case "QoS search path" `Quick
+          (check_search_path "qos" Workloads.Qos.source ~iterations:1611);
+        Alcotest.test_case "compiled Kasumi retention" `Quick
+          test_compiled_retention;
       ] );
   ]
