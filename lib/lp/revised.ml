@@ -41,6 +41,11 @@ type t = {
   lo : float array; (* length n+m, mutable via set_bounds *)
   hi : float array;
   cols : (int * float) array array; (* sparse column per variable *)
+  row_start : int array;
+      (* row-wise copy of [cols]: row i holds (row_col.(p), row_val.(p))
+         for p in [row_start.(i), row_start.(i+1)), by ascending column *)
+  row_col : int array;
+  row_val : float array;
   rhs : float array; (* length m *)
   mutable lu : Sparse_lu.t; (* factored basis *)
   basis : int array; (* length m: variable in basis position i *)
@@ -55,13 +60,19 @@ type t = {
      only these variables need their placement re-checked and x_B
      shifted by one FTRAN column each *)
   mutable bound_deltas : (int * float) list;
-  rho : float array; (* workspace: BTRAN pivot row, length m *)
-  wcol : float array; (* workspace: FTRAN entering column, length m *)
+  queued : bool array; (* length n: the variable is in [bound_deltas] *)
+  rho : float array;
+      (* workspace: BTRAN pivot row, length m, zero between uses *)
+  rho_nz : Sparse_lu.nz; (* its nonzero rows *)
+  wcol : float array;
+      (* workspace: FTRAN entering column, length m, zero between uses *)
+  wcol_nz : Sparse_lu.nz; (* its nonzero positions *)
   duals : float array; (* workspace: BTRAN of the basic costs, length m *)
   alphas : float array;
-      (* workspace: pivot-row entries of the nonbasic columns, length
-         n+m; each solve iteration writes every nonbasic entry before
-         reading any *)
+      (* workspace: pivot-row entries, length n+m, zero outside
+         [touched] and zero between iterations *)
+  touched : Sparse_lu.nz; (* columns with a pivot-row term *)
+  col_mark : bool array; (* length n+m: the column is in [touched] *)
   pricing : pricing;
   dw : float array; (* devex reference weights, one per basis row *)
   mutable iters : int;
@@ -119,6 +130,25 @@ let create ?(pricing = Devex) (p : Problem.t) =
   for i = 0 to m - 1 do
     cols.(n + i) <- [| (i, 1.0) |]
   done;
+  let row_start = Array.make (m + 1) 0 in
+  Array.iter
+    (Array.iter (fun (i, _) -> row_start.(i + 1) <- row_start.(i + 1) + 1))
+    cols;
+  for i = 0 to m - 1 do
+    row_start.(i + 1) <- row_start.(i + 1) + row_start.(i)
+  done;
+  let row_col = Array.make row_start.(m) 0 in
+  let row_val = Array.make row_start.(m) 0. in
+  let fill = Array.sub row_start 0 m in
+  Array.iteri
+    (fun j col ->
+      Array.iter
+        (fun (i, c) ->
+          row_col.(fill.(i)) <- j;
+          row_val.(fill.(i)) <- c;
+          fill.(i) <- fill.(i) + 1)
+        col)
+    cols;
   let basis = Array.init m (fun i -> n + i) in
   let in_basis = Array.make nm (-1) in
   for i = 0 to m - 1 do
@@ -133,16 +163,22 @@ let create ?(pricing = Devex) (p : Problem.t) =
   (* All-slack basis: the identity factors trivially. *)
   let lu = Sparse_lu.factorize m (fun i -> cols.(basis.(i))) in
   {
-    n; m; cost; lo; hi; cols; rhs; lu; basis; in_basis; at_upper;
+    n; m; cost; lo; hi; cols; row_start; row_col; row_val; rhs; lu; basis;
+    in_basis; at_upper;
     xb = Array.make m 0.;
     dvals = Array.make nm 0.;
     dvals_fresh = false;
     xb_fresh = false;
     bound_deltas = [];
+    queued = Array.make n false;
     rho = Array.make m 0.;
+    rho_nz = Sparse_lu.nz_create m;
     wcol = Array.make m 0.;
+    wcol_nz = Sparse_lu.nz_create m;
     duals = Array.make m 0.;
     alphas = Array.make nm 0.;
+    touched = Sparse_lu.nz_create nm;
+    col_mark = Array.make nm false;
     pricing;
     dw = Array.make m 1.;
     iters = 0;
@@ -159,7 +195,10 @@ let m_refactorizations = Support.Metrics.counter "lp.lu.refactorizations"
 let refactorize t =
   t.factorizations <- t.factorizations + 1;
   Support.Metrics.incr m_refactorizations;
-  match Sparse_lu.factorize t.m (fun i -> t.cols.(t.basis.(i))) with
+  match
+    Sparse_lu.factorize ~work:t.lu.Sparse_lu.work t.m (fun i ->
+        t.cols.(t.basis.(i)))
+  with
   | lu -> t.lu <- lu
   | exception Sparse_lu.Singular -> failwith "Revised.refactorize: singular basis"
 
@@ -212,21 +251,28 @@ let fix_placement t j =
     end
   end
 
-(* FTRAN of the sparse column of variable [q] into the [wcol] workspace. *)
+(* FTRAN of the sparse column of variable [q] into the [wcol] workspace
+   and its nonzero list; [clear_col] zeroes it again after use. *)
 let ftran_col t q =
-  Array.fill t.wcol 0 t.m 0.;
-  Array.iter (fun (i, c) -> t.wcol.(i) <- c) t.cols.(q);
-  Sparse_lu.ftran t.lu t.wcol
+  Sparse_lu.load t.lu t.wcol t.wcol_nz t.cols.(q);
+  Sparse_lu.ftran_sparse t.lu t.wcol t.wcol_nz
+
+let clear_col t =
+  let nz = t.wcol_nz in
+  for p = 0 to nz.count - 1 do
+    t.wcol.(nz.idx.(p)) <- 0.
+  done;
+  nz.count <- 0
 
 let set_bounds t j ~lo ~hi =
   if j < 0 || j >= t.n then invalid_arg "Revised.set_bounds";
   (* Record the pre-change value once per variable: several changes
      between two solves must not double-count the x_B shift, and only
      the OLDEST value matters. *)
-  if
-    t.in_basis.(j) < 0
-    && not (List.exists (fun (k, _) -> k = j) t.bound_deltas)
-  then t.bound_deltas <- (j, nonbasic_value t j) :: t.bound_deltas;
+  if t.in_basis.(j) < 0 && not t.queued.(j) then begin
+    t.queued.(j) <- true;
+    t.bound_deltas <- (j, nonbasic_value t j) :: t.bound_deltas
+  end;
   t.lo.(j) <- lo;
   t.hi.(j) <- hi
 
@@ -235,6 +281,44 @@ let bounds t j =
   (t.lo.(j), t.hi.(j))
 
 exception Done of status
+
+(* Pivot row: alpha_j = sum_i rho_i a_ij, added over the nonzero rho_i
+   in ascending row order -- each column's entries are in ascending row
+   order, so every alpha_j gets the terms of a full column dot product,
+   in the same order, less the exact zeros.  Columns with a term land in
+   [touched]; the basic ones among them are computed and not read. *)
+let pivot_row t =
+  let rho = t.rho and alphas = t.alphas in
+  let touched = t.touched in
+  Sparse_lu.iter_ascending t.rho_nz t.m
+    (fun i -> Array.unsafe_get rho i <> 0.)
+    (fun i ->
+      let ri = Array.unsafe_get rho i in
+      for p = t.row_start.(i) to t.row_start.(i + 1) - 1 do
+        let j = Array.unsafe_get t.row_col p in
+        Array.unsafe_set alphas j
+          (Array.unsafe_get alphas j +. (ri *. Array.unsafe_get t.row_val p));
+        if not (Array.unsafe_get t.col_mark j) then begin
+          Array.unsafe_set t.col_mark j true;
+          touched.idx.(touched.count) <- j;
+          touched.count <- touched.count + 1
+        end
+      done)
+
+(* Zero [rho] and [alphas] again for the next iteration. *)
+let clear_pivot_row t =
+  let nz = t.rho_nz in
+  for p = 0 to nz.count - 1 do
+    t.rho.(nz.idx.(p)) <- 0.
+  done;
+  nz.count <- 0;
+  let touched = t.touched in
+  for p = 0 to touched.count - 1 do
+    let j = touched.idx.(p) in
+    t.alphas.(j) <- 0.;
+    t.col_mark.(j) <- false
+  done;
+  touched.count <- 0
 
 let solve ?(max_iters = 200_000) t =
   if not t.dvals_fresh then refresh_dvals t;
@@ -249,9 +333,12 @@ let solve ?(max_iters = 200_000) t =
           let delta = new_value -. old_value in
           if Float.abs delta > 1e-13 then begin
             ftran_col t j;
-            for i = 0 to t.m - 1 do
+            let nz = t.wcol_nz in
+            for p = 0 to nz.count - 1 do
+              let i = nz.idx.(p) in
               t.xb.(i) <- t.xb.(i) -. (delta *. t.wcol.(i))
-            done
+            done;
+            clear_col t
           end
         end)
       t.bound_deltas
@@ -259,6 +346,7 @@ let solve ?(max_iters = 200_000) t =
     List.iter (fun (j, _) -> fix_placement t j) t.bound_deltas;
     recompute_xb t
   end;
+  List.iter (fun (j, _) -> t.queued.(j) <- false) t.bound_deltas;
   t.bound_deltas <- [];
   t.iters <- 0;
   let nm = t.n + t.m in
@@ -305,25 +393,25 @@ let solve ?(max_iters = 200_000) t =
        let r = !r and sigma = !sigma in
        (* Pivot row of Binv: rho = e_r' Binv via one sparse BTRAN. *)
        let rho = t.rho in
-       Array.fill rho 0 t.m 0.;
        rho.(r) <- 1.0;
-       Sparse_lu.btran t.lu rho;
-       (* Ratio test over nonbasic columns, using the maintained reduced
-          costs; alphas are cached for the incremental dual update. *)
+       t.rho_nz.idx.(0) <- r;
+       t.rho_nz.count <- 1;
+       Sparse_lu.btran_sparse t.lu rho t.rho_nz;
+       pivot_row t;
+       (* Ratio test over the nonbasic columns with a pivot-row term, in
+          ascending column order (the tie-break depends on it); a column
+          without one has alpha = 0 and is not eligible.  The alphas stay
+          for the incremental dual update. *)
        let best_j = ref (-1) in
        let best_ratio = ref infinity in
        let best_alpha = ref 0. in
-       for j = 0 to nm - 1 do
-         if t.in_basis.(j) < 0 then begin
-           let alpha = ref 0. in
-           let col = t.cols.(j) in
-           for k = 0 to Array.length col - 1 do
-             let i, c = Array.unsafe_get col k in
-             alpha := !alpha +. (Array.unsafe_get rho i *. c)
-           done;
-           Array.unsafe_set alphas j !alpha;
+       Sparse_lu.iter_ascending t.touched nm
+         (fun j ->
+           Array.unsafe_get t.col_mark j && Array.unsafe_get t.in_basis j < 0)
+         (fun j ->
+           let alpha = Array.unsafe_get alphas j in
            if t.lo.(j) < t.hi.(j) -. 1e-15 then begin
-             let a = sigma *. !alpha in
+             let a = sigma *. alpha in
              let eligible =
                if t.at_upper.(j) then a < -.pivot_tol else a > pivot_tol
              in
@@ -337,20 +425,24 @@ let solve ?(max_iters = 200_000) t =
                then begin
                  best_j := j;
                  best_ratio := ratio;
-                 best_alpha := !alpha
+                 best_alpha := alpha
                end
              end
-           end
-         end
-       done;
-       if !best_j < 0 then raise (Done Infeasible);
+           end);
+       if !best_j < 0 then begin
+         clear_pivot_row t;
+         raise (Done Infeasible)
+       end;
        let q = !best_j in
        (* Full entering column. *)
        ftran_col t q;
        let w = t.wcol in
+       let w_nz = t.wcol_nz in
        if Float.abs w.(r) < pivot_tol then begin
          (* The FTRAN image disagrees with the BTRAN-side alpha: the
             factors have drifted.  Refactorize and redo the iteration. *)
+         clear_col t;
+         clear_pivot_row t;
          if Sparse_lu.n_etas t.lu = 0 then
            failwith "Revised.solve: numerically singular pivot";
          refactorize t;
@@ -360,13 +452,17 @@ let solve ?(max_iters = 200_000) t =
        else begin
          (* incremental dual update: d_j -= (d_q / alpha_q) * alpha_j *)
          let theta = t.dvals.(q) /. alphas.(q) in
-         if theta <> 0. then
-           for j = 0 to nm - 1 do
-             if t.in_basis.(j) < 0 && j <> q then
+         if theta <> 0. then begin
+           let touched = t.touched in
+           for p = 0 to touched.count - 1 do
+             let j = Array.unsafe_get touched.idx p in
+             if Array.unsafe_get t.in_basis j < 0 && j <> q then
                Array.unsafe_set t.dvals j
                  (Array.unsafe_get t.dvals j
                  -. (theta *. Array.unsafe_get alphas j))
-           done;
+           done
+         end;
+         clear_pivot_row t;
          let wr = w.(r) in
          let leaving = t.basis.(r) in
          let target =
@@ -374,12 +470,13 @@ let solve ?(max_iters = 200_000) t =
          in
          let step = (t.xb.(r) -. target) /. wr in
          (* Update basic values. *)
-         for i = 0 to t.m - 1 do
+         for p = 0 to w_nz.count - 1 do
+           let i = Array.unsafe_get w_nz.idx p in
            t.xb.(i) <- t.xb.(i) -. (step *. w.(i))
          done;
          let entering_old = nonbasic_value t q in
          (* Absorb the basis change as a product-form eta. *)
-         Sparse_lu.update t.lu ~r ~w;
+         Sparse_lu.update_sparse t.lu ~r ~w w_nz;
          (* Swap basis membership. *)
          t.basis.(r) <- q;
          t.in_basis.(q) <- r;
@@ -398,7 +495,8 @@ let solve ?(max_iters = 200_000) t =
            let gr = t.dw.(r) /. (wr *. wr) in
            if gr > 1e12 then Array.fill t.dw 0 t.m 1.
            else begin
-             for i = 0 to t.m - 1 do
+             for p = 0 to w_nz.count - 1 do
+               let i = Array.unsafe_get w_nz.idx p in
                if i <> r then begin
                  let wi = Array.unsafe_get w i in
                  if wi <> 0. then begin
@@ -410,7 +508,8 @@ let solve ?(max_iters = 200_000) t =
              done;
              t.dw.(r) <- Float.max gr 1.0
            end
-         end
+         end;
+         clear_col t
        end
      done;
      assert false

@@ -841,6 +841,217 @@ let test_sparse_lu_candidates_linear () =
         Alcotest.failf "ftran drift %g at %d" (Float.abs (v -. 1.)) i)
     b
 
+(* The sparse kernels against the dense ones, on random sparse bases
+   (a shuffled permutation diagonal, column-dominant, plus off-diagonal
+   noise that leaves the elimination some multipliers) with eta files of
+   0 to 60 updates.  Each result must equal the dense kernel's entry for
+   entry (+0 and -0 compare equal under [=]), its index list must hold
+   every nonzero once, and the sparse eta update must record the dense
+   update's eta. *)
+let test_sparse_kernels_match_dense () =
+  let st = Random.State.make [| 13 |] in
+  let nz_of_list m l =
+    let nz = Sparse_lu.nz_create m in
+    List.iter
+      (fun i ->
+        nz.idx.(nz.count) <- i;
+        nz.count <- nz.count + 1)
+      l;
+    nz
+  in
+  let check_same tag m dense_res sparse_res (nz : Sparse_lu.nz) =
+    let listed = Array.make m 0 in
+    for p = 0 to nz.count - 1 do
+      listed.(nz.idx.(p)) <- listed.(nz.idx.(p)) + 1
+    done;
+    for i = 0 to m - 1 do
+      if not (dense_res.(i) = sparse_res.(i)) then
+        Alcotest.failf "%s: entry %d is %h dense, %h sparse (m=%d)" tag i
+          dense_res.(i) sparse_res.(i) m;
+      if listed.(i) > 1 then Alcotest.failf "%s: %d listed twice" tag i;
+      if sparse_res.(i) <> 0. && listed.(i) = 0 then
+        Alcotest.failf "%s: nonzero %d not listed (m=%d)" tag i m
+    done
+  in
+  (* a random right-hand side: 1 to 5 nonzeros (the list may name one
+     explicit zero too), or every entry *)
+  let draw_rhs m =
+    let v = Array.make m 0. in
+    if Random.State.int st 4 = 0 then begin
+      for i = 0 to m - 1 do
+        v.(i) <- Random.State.float st 4. -. 2.
+      done;
+      (v, List.init m Fun.id)
+    end
+    else begin
+      let l = ref [] in
+      for _ = 1 to 1 + Random.State.int st 5 do
+        let i = Random.State.int st m in
+        if not (List.mem i !l) then begin
+          v.(i) <- Random.State.float st 4. -. 2.;
+          l := i :: !l
+        end
+      done;
+      let z = Random.State.int st m in
+      if not (List.mem z !l) then l := z :: !l;
+      (v, !l)
+    end
+  in
+  let compare_kernels tag lu m =
+    for _ = 1 to 4 do
+      let b, l = draw_rhs m in
+      let bd = Array.copy b and bs = Array.copy b in
+      Sparse_lu.ftran lu bd;
+      let nz = nz_of_list m l in
+      Sparse_lu.ftran_sparse lu bs nz;
+      check_same (tag ^ " ftran") m bd bs nz;
+      let c, l = draw_rhs m in
+      let cd = Array.copy c and cs = Array.copy c in
+      Sparse_lu.btran lu cd;
+      let nz = nz_of_list m l in
+      Sparse_lu.btran_sparse lu cs nz;
+      check_same (tag ^ " btran") m cd cs nz
+    done
+  in
+  for case = 1 to 30 do
+    let m = 2 + Random.State.int st 90 in
+    let perm = Array.init m (fun i -> i) in
+    for i = m - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let tmp = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- tmp
+    done;
+    let noisy_column j =
+      let col = Array.make m 0. in
+      col.(perm.(j)) <- 1.5 +. Random.State.float st 1.;
+      for _ = 1 to Random.State.int st 4 do
+        let i = Random.State.int st m in
+        if i <> perm.(j) then col.(i) <- Random.State.float st 0.6 -. 0.3
+      done;
+      col
+    in
+    let dense = Array.make_matrix m m 0. in
+    for j = 0 to m - 1 do
+      let col = noisy_column j in
+      for i = 0 to m - 1 do
+        dense.(i).(j) <- col.(i)
+      done
+    done;
+    let lu = Sparse_lu.factorize m (sparse_columns dense) in
+    (* the same factors, updated by the dense kernel *)
+    let twin = Sparse_lu.factorize m (sparse_columns dense) in
+    let tag = Printf.sprintf "case %d" case in
+    compare_kernels tag lu m;
+    for u = 1 to Random.State.int st 61 do
+      let r = Random.State.int st m in
+      let newcol = noisy_column r in
+      let wd = Array.copy newcol and ws = Array.copy newcol in
+      Sparse_lu.ftran lu wd;
+      let nz = Sparse_lu.nz_create m in
+      Sparse_lu.load lu ws nz
+        (Array.of_list
+           (List.filter_map
+              (fun i -> if newcol.(i) <> 0. then Some (i, newcol.(i)) else None)
+              (List.init m Fun.id)));
+      Sparse_lu.ftran_sparse lu ws nz;
+      check_same (Printf.sprintf "%s column %d" tag u) m wd ws nz;
+      match Sparse_lu.update twin ~r ~w:wd with
+      | exception Sparse_lu.Singular -> ()
+      | () ->
+          Sparse_lu.update_sparse lu ~r ~w:ws nz;
+          let last v = Support.Vec.get v (Support.Vec.length v - 1) in
+          let e = last twin.Sparse_lu.etas and e' = last lu.Sparse_lu.etas in
+          if
+            e.Sparse_lu.e_r <> e'.Sparse_lu.e_r
+            || e.e_wr <> e'.e_wr
+            || e.e_entries <> e'.e_entries
+          then Alcotest.failf "%s: eta %d differs" tag u;
+          for i = 0 to m - 1 do
+            dense.(i).(r) <- newcol.(i)
+          done;
+          if u mod 7 = 0 then
+            compare_kernels (Printf.sprintf "%s after %d etas" tag u) lu m
+    done;
+    compare_kernels (tag ^ " final") lu m;
+    check_lu_inverts st (tag ^ " final") dense lu
+  done
+
+(* Index lists sort ascending at every size, past the insertion-sort
+   cutoff too (the kernels' lists above stay short). *)
+let test_sort_nz () =
+  let st = Random.State.make [| 3 |] in
+  for _ = 1 to 200 do
+    let size = 1 + Random.State.int st 400 in
+    let nz = Sparse_lu.nz_create size in
+    let seen = Array.make size false in
+    for _ = 1 to Random.State.int st size do
+      let i = Random.State.int st size in
+      if not seen.(i) then begin
+        seen.(i) <- true;
+        nz.idx.(nz.count) <- i;
+        nz.count <- nz.count + 1
+      end
+    done;
+    let listed () = Array.to_list (Array.sub nz.idx 0 nz.count) in
+    let expected = List.sort compare (listed ()) in
+    Sparse_lu.sort_nz nz;
+    check Alcotest.(list int) "sorted" expected (listed ())
+  done
+
+(* A hypersparse LP (1000 independent 4-row covering blocks) solved from
+   the slack basis: its FTRAN and BTRAN calls visit far fewer than m
+   entries each, counting the dense recomputations after each
+   refactorization.  An O(m) loop per pivot kernel fails this. *)
+let test_hypersparse_solve_entries () =
+  let st = Random.State.make [| 5 |] in
+  let blocks = 1000 and rows = 4 and vars = 6 in
+  let p = Problem.create () in
+  for v = 0 to (blocks * vars) - 1 do
+    ignore
+      (Problem.add_var p ~lo:0. ~hi:1.
+         ~obj:(float_of_int (1 + Random.State.int st 9))
+         (Printf.sprintf "x%d" v))
+  done;
+  for b = 0 to blocks - 1 do
+    for _ = 1 to rows do
+      let a = Random.State.int st vars in
+      let c = (a + 1 + Random.State.int st (vars - 1)) mod vars in
+      Problem.add_row p Problem.Ge 1.
+        [ ((b * vars) + a, 1.); ((b * vars) + c, 1.) ]
+    done
+  done;
+  let value name = Support.Metrics.(counter_value (counter name)) in
+  let calls () = value "lp.lu.ftran" + value "lp.lu.btran" in
+  let calls0 = calls () and entries0 = value "lp.lu.solve_entries" in
+  let s = Revised.create p in
+  checkb "optimal" true (Revised.solve s = Revised.Optimal);
+  let calls = calls () - calls0 in
+  let entries = value "lp.lu.solve_entries" - entries0 in
+  let m = blocks * rows in
+  if calls < m then Alcotest.failf "only %d FTRAN/BTRAN calls" calls;
+  if entries >= calls * m / 10 then
+    Alcotest.failf "%d calls visited %d entries (m=%d)" calls entries m
+
+(* A bound change queues a variable once per solve; after the solve
+   drains the queue, the next change queues it again. *)
+let test_revised_requeue_after_solve () =
+  let p = Problem.create () in
+  let x = Problem.add_var p ~lo:0. ~hi:1. ~obj:1. "x" in
+  let y = Problem.add_var p ~lo:0. ~hi:1. ~obj:3. "y" in
+  Problem.add_row p Problem.Ge 1. [ (x, 1.); (y, 1.) ];
+  let s = Revised.create p in
+  checkb "optimal" true (Revised.solve s = Revised.Optimal);
+  (* y is nonbasic at 0: two changes before a solve shift x_B once *)
+  Revised.set_bounds s y ~lo:0.5 ~hi:1.;
+  Revised.set_bounds s y ~lo:0.5 ~hi:0.5;
+  checkb "optimal 2" true (Revised.solve s = Revised.Optimal);
+  check (Alcotest.float 1e-7) "y fixed at 1/2" (0.5 +. (3. *. 0.5))
+    (Revised.objective s);
+  Revised.set_bounds s y ~lo:0. ~hi:0.;
+  checkb "optimal 3" true (Revised.solve s = Revised.Optimal);
+  check (Alcotest.float 1e-7) "y fixed at 0" 1. (Revised.objective s)
+
 (* ------------------------------------------------------------------ *)
 (* Seeded float-vs-rational cross-check (larger LPs)                   *)
 (* ------------------------------------------------------------------ *)
@@ -1109,6 +1320,13 @@ let suites =
           test_sparse_lu_count_return;
         Alcotest.test_case "sparse LU pivot candidates linear" `Quick
           test_sparse_lu_candidates_linear;
+        Alcotest.test_case "sparse kernels match dense" `Quick
+          test_sparse_kernels_match_dense;
+        Alcotest.test_case "sparse index lists sort" `Quick test_sort_nz;
+        Alcotest.test_case "hypersparse solve entries" `Quick
+          test_hypersparse_solve_entries;
+        Alcotest.test_case "revised requeue after solve" `Quick
+          test_revised_requeue_after_solve;
         Alcotest.test_case "revised vs exact (seeded, large)" `Quick
           test_revised_vs_exact_seeded;
         Alcotest.test_case "warm-restart chains match cold solves" `Quick
