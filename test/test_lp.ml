@@ -960,13 +960,9 @@ let test_sparse_kernels_match_dense () =
       | exception Sparse_lu.Singular -> ()
       | () ->
           Sparse_lu.update_sparse lu ~r ~w:ws nz;
-          let last v = Support.Vec.get v (Support.Vec.length v - 1) in
-          let e = last twin.Sparse_lu.etas and e' = last lu.Sparse_lu.etas in
-          if
-            e.Sparse_lu.e_r <> e'.Sparse_lu.e_r
-            || e.e_wr <> e'.e_wr
-            || e.e_entries <> e'.e_entries
-          then Alcotest.failf "%s: eta %d differs" tag u;
+          let last lu = Sparse_lu.eta lu (Sparse_lu.n_etas lu - 1) in
+          if last twin <> last lu then
+            Alcotest.failf "%s: eta %d differs" tag u;
           for i = 0 to m - 1 do
             dense.(i).(r) <- newcol.(i)
           done;
@@ -976,6 +972,155 @@ let test_sparse_kernels_match_dense () =
     compare_kernels (tag ^ " final") lu m;
     check_lu_inverts st (tag ^ " final") dense lu
   done
+
+(* A random m x m basis as (row, value) input columns: a shuffled
+   permutation diagonal and a little noise, with what the list order
+   rule has to survive mixed in:
+   - long columns (past 32, 64 and 128 entries) and long rows (past
+     32), so that the bucket count doubles on both sides;
+   - a fill-heavy bump, a dense-ish block that elimination fills in;
+   - duplicate row entries, some summing to zero, and explicit zeros;
+   - when [singular], an empty, a repeated or a summed column. *)
+let random_basis st m ~singular =
+  let perm = Array.init m Fun.id in
+  for i = m - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let tmp = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- tmp
+  done;
+  let cols =
+    Array.init m (fun j -> ref [ (perm.(j), 1. +. Random.State.float st 2.) ])
+  in
+  let add j i v = cols.(j) := (i, v) :: !(cols.(j)) in
+  let noise () = Random.State.float st 0.6 -. 0.3 in
+  for j = 0 to m - 1 do
+    for _ = 1 to Random.State.int st 3 do
+      add j (Random.State.int st m) (noise ())
+    done
+  done;
+  for _ = 1 to 1 + Random.State.int st 3 do
+    let j = Random.State.int st m in
+    for _ = 1 to 33 + Random.State.int st (m - 32) do
+      add j (Random.State.int st m) (noise ())
+    done
+  done;
+  for _ = 1 to Random.State.int st 3 do
+    let i = Random.State.int st m in
+    for _ = 1 to 33 + Random.State.int st (m - 32) do
+      add (Random.State.int st m) i (noise ())
+    done
+  done;
+  if Random.State.bool st then begin
+    let k = 10 + Random.State.int st (min 60 (m - 10)) in
+    let base = Random.State.int st (m - k + 1) in
+    for a = base to base + k - 1 do
+      for b = base to base + k - 1 do
+        if Random.State.int st 4 = 0 then
+          add a perm.(b) (Random.State.float st 2. -. 1.)
+      done
+    done
+  end;
+  for _ = 1 to m / 4 do
+    let j = Random.State.int st m in
+    (* the diagonal entry is the list's last; cancel another one *)
+    match !(cols.(j)) with
+    | (i, v) :: _ :: _ -> add j i (-.v)
+    | _ -> add j (Random.State.int st m) 0.
+  done;
+  if singular then begin
+    let j = Random.State.int st m and a = Random.State.int st m in
+    let b = Random.State.int st m in
+    match Random.State.int st 3 with
+    | 0 -> cols.(j) := []
+    | 1 -> if a <> j then cols.(j) := !(cols.(a))
+    | _ -> if a <> j && b <> j then cols.(j) := !(cols.(a)) @ !(cols.(b))
+  end;
+  Array.map (fun l -> Array.of_list (List.rev !l)) cols
+
+(* The flat-array factorization against the Hashtbl one it replaced
+   ([Lu_reference]): the same pivot rows and columns, pivots bit for
+   bit, every L and U entry in stored order, the same pivot-candidate
+   count, and [Singular] from both or neither.  Each size shares one
+   [work], reused after a [Singular] too. *)
+let test_factorize_matches_reference () =
+  let st = Random.State.make [| 29 |] in
+  let candidates = Support.Metrics.counter "lp.lu.pivot_candidates" in
+  let counted f =
+    let before = Support.Metrics.counter_value candidates in
+    let r =
+      match f () with r -> Some r | exception Sparse_lu.Singular -> None
+    in
+    (r, Support.Metrics.counter_value candidates - before)
+  in
+  let bits = Int64.bits_of_float in
+  let sizes = [| 40; 90; 170; 260 |] in
+  let works = Array.map Sparse_lu.work_create sizes in
+  let singulars = ref 0 in
+  for case = 1 to 48 do
+    let tag = Printf.sprintf "case %d" case in
+    let s = case mod Array.length sizes in
+    let m = sizes.(s) in
+    let basis = random_basis st m ~singular:(case mod 3 = 0) in
+    let column j = basis.(j) in
+    let expected, n0 = counted (fun () -> Lu_reference.factorize m column) in
+    let got, n1 =
+      counted (fun () -> Sparse_lu.factorize ~work:works.(s) m column)
+    in
+    checki (tag ^ " pivot candidates") n0 n1;
+    match (expected, got) with
+    | None, None -> incr singulars
+    | Some _, None | None, Some _ ->
+        Alcotest.failf "%s: only one factorization is singular" tag
+    | Some r, Some lu ->
+        check Alcotest.(array int) (tag ^ " pr") r.pr lu.Sparse_lu.pr;
+        check Alcotest.(array int) (tag ^ " pc") r.pc lu.pc;
+        let same_entries what k expected start idx vals =
+          let lo = start.(k) in
+          if start.(k + 1) - lo <> Array.length expected then
+            Alcotest.failf "%s: step %d has %d %s entries, not %d" tag k
+              (start.(k + 1) - lo) what (Array.length expected);
+          Array.iteri
+            (fun p (i, v) ->
+              if idx.(lo + p) <> i || bits vals.(lo + p) <> bits v then
+                Alcotest.failf
+                  "%s: %s entry %d of step %d is (%d, %h), not (%d, %h)" tag
+                  what p k idx.(lo + p) vals.(lo + p) i v)
+            expected
+        in
+        for k = 0 to m - 1 do
+          if bits r.pivots.(k) <> bits lu.pivots.(k) then
+            Alcotest.failf "%s: pivot %d is %h, not %h" tag k lu.pivots.(k)
+              r.pivots.(k);
+          same_entries "L" k r.lmat.(k) lu.l_start lu.l_row lu.l_mul;
+          same_entries "U" k r.umat.(k) lu.u_start lu.u_step lu.u_val
+        done
+  done;
+  if !singulars < 8 then
+    Alcotest.failf "only %d of 48 bases were singular" !singulars
+
+(* A refactorization into a reused [work] allocates about what it
+   returns: a small constant times [lu_nnz], m plus the entries of L
+   and U.  (The Hashtbl factorization allocated over 300 words per
+   column on this basis.) *)
+let test_factorize_allocation () =
+  let st = Random.State.make [| 31 |] in
+  let m = 3000 in
+  let basis = random_basis st m ~singular:false in
+  let column j = basis.(j) in
+  let lu = Sparse_lu.factorize m column in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let lu' = Sparse_lu.factorize ~work:lu.work m column in
+  let used = words () -. before in
+  let bound = 12 * lu'.lu_nnz in
+  if used > float_of_int bound then
+    Alcotest.failf
+      "refactorization allocated %.0f words, over %d (m=%d, nnz=%d)" used
+      bound m lu'.lu_nnz
 
 (* Index lists sort ascending at every size, past the insertion-sort
    cutoff too (the kernels' lists above stay short). *)
@@ -1322,6 +1467,10 @@ let suites =
           test_sparse_lu_candidates_linear;
         Alcotest.test_case "sparse kernels match dense" `Quick
           test_sparse_kernels_match_dense;
+        Alcotest.test_case "factorize matches reference" `Quick
+          test_factorize_matches_reference;
+        Alcotest.test_case "refactorization allocates its factors only" `Quick
+          test_factorize_allocation;
         Alcotest.test_case "sparse index lists sort" `Quick test_sort_nz;
         Alcotest.test_case "hypersparse solve entries" `Quick
           test_hypersparse_solve_entries;
